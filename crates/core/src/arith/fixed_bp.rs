@@ -192,6 +192,14 @@ impl DecoderArithmetic for FixedBpArithmetic {
         self.format.dequantize(m)
     }
 
+    fn hard_bit(&self, m: i32) -> u8 {
+        u8::from(m < 0)
+    }
+
+    fn magnitude(&self, m: i32) -> f64 {
+        self.format.dequantize(m.abs())
+    }
+
     fn zero(&self) -> i32 {
         0
     }
@@ -374,14 +382,17 @@ impl LaneKernel for FixedBpArithmetic {
                     return;
                 }
                 // fwd[s] = λ_0 ⊞ … ⊞ λ_s, bwd[s] = λ_s ⊞ … ⊞ λ_{d−1}, both
-                // slot-major in the scratch; every ⊞ is one panel step.
+                // slot-major in the scratch; every ⊞ is one panel step. The
+                // outputs read fwd[0..d−1] and bwd[1..d] only, so the full
+                // sums fwd[d−1] and bwd[0] are never formed: 3d − 6 panels
+                // per row instead of the scalar recursion's 3d − 4.
                 let buf = scratch.lanes_mut((2 * degree + 3) * z, 0);
                 let (fwd, rest) = buf.split_at_mut(degree * z);
                 let (bwd, rest) = rest.split_at_mut(degree * z);
                 let (mins, rest) = rest.split_at_mut(z);
                 let (sums, diffs) = rest.split_at_mut(z);
                 fwd[..z].copy_from_slice(&lanes_in[..z]);
-                for slot in 1..degree {
+                for slot in 1..degree - 1 {
                     let (prev, cur) = fwd[(slot - 1) * z..(slot + 1) * z].split_at_mut(z);
                     let inc = &lanes_in[slot * z..(slot + 1) * z];
                     simd::boxplus_panel(
@@ -397,7 +408,7 @@ impl LaneKernel for FixedBpArithmetic {
                     );
                 }
                 bwd[(degree - 1) * z..].copy_from_slice(&lanes_in[(degree - 1) * z..]);
-                for slot in (0..degree - 1).rev() {
+                for slot in (1..degree - 1).rev() {
                     let (cur, next) = bwd[slot * z..(slot + 2) * z].split_at_mut(z);
                     let inc = &lanes_in[slot * z..(slot + 1) * z];
                     simd::boxplus_panel(
@@ -609,6 +620,30 @@ mod tests {
         ] {
             for (z, degree) in [(1usize, 3usize), (4, 1), (27, 2), (96, 7), (24, 20)] {
                 crate::arith::lanes::test_support::check_lane_axioms(&arith, z, degree, msg);
+            }
+        }
+    }
+
+    #[test]
+    fn trimmed_forward_backward_matches_scalar_rows_for_every_degree() {
+        // The lane kernel skips the two ⊞ panels (fwd[d−1], bwd[0]) the
+        // scalar recursion forms but never reads; every degree the WiMAX and
+        // WiFi codes use (and the trivial ones, 1 and 2) must still match
+        // the scalar update row for row, on every kernel tier.
+        let msg = |i: usize| {
+            let v = ((i as i32 * 53 + 11) % 255) - 127;
+            if i.is_multiple_of(13) {
+                v.signum() * 127
+            } else {
+                v
+            }
+        };
+        for level in [SimdLevel::Scalar, SimdLevel::Sse41, SimdLevel::Avx2] {
+            let arith = FixedBpArithmetic::forward_backward().with_simd_level(level);
+            for degree in 1..=24 {
+                for z in [1usize, 5, 24, 37] {
+                    crate::arith::lanes::test_support::check_lane_axioms(&arith, z, degree, msg);
+                }
             }
         }
     }

@@ -224,6 +224,14 @@ impl DecoderArithmetic for FixedMinSumArithmetic {
         self.format.dequantize(m)
     }
 
+    fn hard_bit(&self, m: i32) -> u8 {
+        u8::from(m < 0)
+    }
+
+    fn magnitude(&self, m: i32) -> f64 {
+        self.format.dequantize(m.abs())
+    }
+
     fn zero(&self) -> i32 {
         0
     }

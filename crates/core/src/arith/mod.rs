@@ -32,11 +32,39 @@ pub use simd::SimdLevel;
 
 use std::fmt::Debug;
 
+/// A message value carried through the decoder: a fixed-point code (`i32`)
+/// or a float LLR (`f64`). Ordered by value, so the early-termination scan
+/// can take min |m| in the message domain and convert only the minimum.
+pub trait Message: Copy + Debug + PartialOrd + Send + Sync + 'static {
+    /// A magnitude larger than any message's: the minimum of no messages.
+    const UNBOUNDED: Self;
+
+    /// The message with its sign dropped.
+    #[must_use]
+    fn magnitude(self) -> Self;
+}
+
+impl Message for i32 {
+    const UNBOUNDED: i32 = i32::MAX;
+
+    fn magnitude(self) -> i32 {
+        self.abs()
+    }
+}
+
+impl Message for f64 {
+    const UNBOUNDED: f64 = f64::INFINITY;
+
+    fn magnitude(self) -> f64 {
+        self.abs()
+    }
+}
+
 /// A message representation plus the check-node update rule operating on it.
 pub trait DecoderArithmetic {
     /// The message type carried through the decoder (e.g. `f64` or a
     /// fixed-point code).
-    type Msg: Copy + Debug + PartialEq + Send + Sync + 'static;
+    type Msg: Message;
 
     /// Converts a channel LLR into the message domain (the `L_n = 2y/σ²`
     /// initialisation of Algorithm 1, possibly quantised).
@@ -70,7 +98,9 @@ pub trait DecoderArithmetic {
     }
 
     /// Absolute LLR value of a message (drives the early-termination
-    /// threshold test).
+    /// threshold test). Must agree with [`Message::magnitude`]:
+    /// `magnitude(m) == magnitude(m.magnitude())`, and ordering magnitudes
+    /// in the message domain orders these values the same way.
     fn magnitude(&self, m: Self::Msg) -> f64 {
         self.to_llr(m).abs()
     }

@@ -21,22 +21,25 @@
 //! *is* [`LayeredDecoder`] with the stage-1 config, so enabling early
 //! termination there compacts mid-stage too). Only the surviving failures
 //! re-enter stage 2 as a fresh, narrower group, re-ingesting **the same
-//! quantized LLRs** stage 1 decoded: the handoff values are
-//! `dequantize(quantize(llr))`, which round-trip to the identical quantized
-//! codes in stage 2's format, so an escalated frame's output is
-//! bit-identical to running the stage-2 decoder directly on those LLRs.
+//! quantized codes** stage 1 decoded: the cascade quantizes each frame once,
+//! into workspace scratch, and stage 2 takes those codes directly — each
+//! code as is, zero mapped to +1 LSB, which is exactly the message
+//! [`FixedBpArithmetic`] makes of the dequantized code
+//! ([`CascadeDecoder::handoff_llr`]). An escalated frame's output is
+//! therefore bit-identical to running the stage-2 decoder directly on the
+//! handoff LLRs, with no f64 round trip. The optional float stage
+//! dequantizes the same codes.
 //!
 //! Why the default stage 1 runs a *fixed* 4-iteration budget instead of the
-//! early-termination rule: under the explicit-SIMD kernel tier a decode
-//! iteration is cheap enough that the per-iteration scalar convergence scan
-//! (decision history + min-|LLR| reduction) costs as much as the iteration
-//! it might save. The cascade sidesteps the scan entirely — the syndrome
-//! check that [`finish_output`](crate::engine) already performs for every
-//! frame doubles as the escalation test, so easy frames pay four SIMD
-//! Min-Sum iterations and *zero* convergence bookkeeping. Hard frames pay
-//! one wasted stage-1 budget and then the full stage-2 decoder; at realistic
-//! SNR mixes the easy majority dominates (see the `cascade_throughput`
-//! bench and `BENCH_cascade.json`).
+//! early-termination rule: on channels where most frames need stage 2
+//! anyway, an iteration saved in stage 1 is rarely an iteration saved
+//! overall. The syndrome check that [`finish_output`](crate::engine)
+//! already performs for every frame doubles as the escalation test, so easy
+//! frames pay four SIMD Min-Sum iterations and no per-iteration convergence
+//! check at all. Hard frames pay one wasted stage-1 budget and then the full
+//! stage-2 decoder, whose early termination is the integer one-pass scan of
+//! [`crate::early_term`]; at realistic SNR mixes the easy majority dominates
+//! (see the `cascade_throughput` bench and `BENCH_cascade.json`).
 //!
 //! The cascade implements [`Decoder`], so `decode_batch`,
 //! `decode_batch_into_threads`, the persistent decode pool and the serving
@@ -258,53 +261,44 @@ impl CascadeDecoder {
         self.counters.snapshot()
     }
 
-    /// The exact LLR value a stage ≥ 2 re-ingests for a channel LLR `raw`:
-    /// the dequantized form of stage 1's quantization, which round-trips to
-    /// the identical quantized code. Public so tests and benches can build
-    /// the reference "straight fixed BP on the same quantized LLRs" input.
+    /// The LLR a stage ≥ 2 decodes in place of the channel LLR `raw`: the
+    /// dequantized stage-1 code, which requantizes to that same code. The
+    /// cascade hands the codes over directly, but an escalated frame's
+    /// output is bit-identical to decoding these LLRs with the stage-2 (or
+    /// stage-3) decoder alone. Public so tests and benches can build that
+    /// reference input.
     #[must_use]
     pub fn handoff_llr(&self, raw: f64) -> f64 {
         let arith = self.stage1.arithmetic();
         arith.to_llr(arith.from_channel(raw))
     }
 
-    /// Packs the handoff LLRs of the surviving frames listed in `pending`
-    /// into `buf`, frame-contiguous.
-    fn pack_handoff(&self, llrs: &[f64], n: usize, pending: &[u32], buf: &mut Vec<f64>) {
-        buf.clear();
-        for &f in pending {
-            let frame = &llrs[f as usize * n..(f as usize + 1) * n];
-            buf.extend(frame.iter().map(|&l| self.handoff_llr(l)));
-        }
-    }
-
-    /// Stages 2 and 3: re-decode the surviving failures as fresh, narrower
-    /// groups on the handoff LLRs, swapping each improved output back into
-    /// the caller's slot. `scratch` holds the workspace's cascade buffers,
+    /// Stages 2 and 3: re-decode the surviving failures listed in `pending`
+    /// as fresh, narrower groups on their stage-1 `codes` (frame-contiguous,
+    /// the whole group), swapping each improved output back into the
+    /// caller's slot. `stage_outs` is the workspace's stage output scratch,
     /// temporarily owned by the caller.
     fn escalate(
         &self,
         compiled: &CompiledCode,
-        llrs: &[f64],
+        codes: &[i32],
         ws: &mut DecodeWorkspace<i32>,
         outs: &mut [DecodeOutput],
-        scratch: EscalationScratch<'_>,
-    ) -> Result<(), DecodeError> {
-        let EscalationScratch {
-            pending,
-            llrs: stage_llrs,
-            outs: stage_outs,
-        } = scratch;
+        pending: &mut Vec<u32>,
+        stage_outs: &mut [DecodeOutput],
+    ) {
         let n = compiled.n();
+        let code_at = |f: usize, col: usize| codes[pending[f] as usize * n + col];
         let effort = self.effort.load(Ordering::Relaxed);
-        self.pack_handoff(llrs, n, pending, stage_llrs);
         self.counters.count_stage(1, pending.len());
         let stage2 = if effort >= 2 {
             &self.degraded_stage2
         } else {
             &self.stage2
         };
-        stage2.decode_group_into(compiled, stage_llrs, ws, &mut stage_outs[..pending.len()])?;
+        stage2.decode_group_from(compiled, ws, &mut stage_outs[..pending.len()], |f, col| {
+            stage2_message(code_at(f, col))
+        });
         for (slot, &f) in pending.iter().enumerate() {
             std::mem::swap(&mut outs[f as usize], &mut stage_outs[slot]);
         }
@@ -312,40 +306,43 @@ impl CascadeDecoder {
         // Effort level ≥ 1 drops the float-BP rescue stage: the expensive
         // tail is exactly what a pressured shard cannot afford.
         if effort >= 1 {
-            return Ok(());
+            return;
         }
         let Some(stage3) = &self.stage3 else {
-            return Ok(());
+            return;
         };
         pending.retain(|&f| !outs[f as usize].parity_satisfied);
         if pending.is_empty() {
-            return Ok(());
+            return;
         }
-        self.pack_handoff(llrs, n, pending, stage_llrs);
         self.counters.count_stage(2, pending.len());
+        let (arith1, arith3) = (self.stage1.arithmetic(), stage3.arithmetic());
+        let code_at = |f: usize, col: usize| codes[pending[f] as usize * n + col];
         let mut ws3 = stage3.worker_workspace(compiled);
-        let result = stage3.decode_group_into(
+        stage3.decode_group_from(
             compiled,
-            stage_llrs,
             &mut ws3,
             &mut stage_outs[..pending.len()],
+            |f, col| arith3.from_channel(arith1.to_llr(code_at(f, col))),
         );
         stage3.finish_worker_workspace(compiled, ws3);
-        result?;
         for (slot, &f) in pending.iter().enumerate() {
             std::mem::swap(&mut outs[f as usize], &mut stage_outs[slot]);
         }
-        Ok(())
     }
 }
 
-/// The workspace's cascade scratch buffers, taken out of the
-/// [`DecodeWorkspace`] for the duration of an escalation so stage ≥ 2 can
-/// borrow the workspace itself.
-struct EscalationScratch<'a> {
-    pending: &'a mut Vec<u32>,
-    llrs: &'a mut Vec<f64>,
-    outs: &'a mut [DecodeOutput],
+/// Stage 2's channel message for a stage-1 code: the code itself, with the
+/// zero code mapped to +1 LSB. This is what
+/// [`FixedBpArithmetic::from_channel`](DecoderArithmetic::from_channel)
+/// makes of the dequantized code (the formats agree, and a dequantized
+/// zero is `+0.0`, which the sign-magnitude datapath reads as positive).
+fn stage2_message(code: i32) -> i32 {
+    if code == 0 {
+        1
+    } else {
+        code
+    }
 }
 
 impl Default for CascadeDecoder {
@@ -437,16 +434,22 @@ impl Decoder for CascadeDecoder {
             .then(|| ws.cascade_fingerprint());
         ws.reserve_for_cascade(compiled, frames);
 
+        // One quantization per frame: stage 1 decodes these codes and the
+        // later stages re-ingest them. The cascade buffers are swapped out
+        // of the workspace while the stages borrow it, and put back after.
+        let mut codes = std::mem::take(&mut ws.cascade_codes);
+        codes.clear();
+        let arith = self.stage1.arithmetic();
+        codes.extend(llrs.iter().map(|&l| arith.from_channel(l)));
+
         // Stage 1: the whole group through the cheap Min-Sum pass. Each
         // output's syndrome (computed by finish_output for every frame
         // anyway) is the escalation test — no extra convergence scan.
-        self.stage1.decode_group_into(compiled, llrs, ws, outs)?;
+        self.stage1
+            .decode_group_from(compiled, ws, outs, |f, col| codes[f * n + col]);
         self.counters.count_stage(0, frames);
 
-        // The surviving failures, by original frame index. The cascade
-        // buffers are swapped out of the workspace while stage ≥ 2 borrows
-        // it, and unconditionally put back (they are plain scratch: on error
-        // their contents are dead, only their allocations are kept).
+        // The surviving failures, by original frame index.
         let mut pending = std::mem::take(&mut ws.cascade_pending);
         pending.clear();
         pending.extend(
@@ -455,27 +458,13 @@ impl Decoder for CascadeDecoder {
                 .filter(|(_, out)| !out.parity_satisfied)
                 .map(|(f, _)| f as u32),
         );
-        let result = if pending.is_empty() {
-            Ok(())
-        } else {
-            let mut stage_llrs = std::mem::take(&mut ws.cascade_llrs);
+        if !pending.is_empty() {
             let mut stage_outs = std::mem::take(&mut ws.cascade_outs);
-            let result = self.escalate(
-                compiled,
-                llrs,
-                ws,
-                outs,
-                EscalationScratch {
-                    pending: &mut pending,
-                    llrs: &mut stage_llrs,
-                    outs: &mut stage_outs,
-                },
-            );
-            ws.cascade_llrs = stage_llrs;
+            self.escalate(compiled, &codes, ws, outs, &mut pending, &mut stage_outs);
             ws.cascade_outs = stage_outs;
-            result
-        };
+        }
         ws.cascade_pending = pending;
+        ws.cascade_codes = codes;
 
         #[cfg(debug_assertions)]
         if let Some(fingerprint) = steady_fingerprint {
@@ -485,7 +474,7 @@ impl Decoder for CascadeDecoder {
                 "steady-state cascade decode must not reallocate workspace buffers"
             );
         }
-        result
+        Ok(())
     }
 }
 
@@ -649,6 +638,21 @@ mod tests {
                 "handoff of {raw} must requantize identically"
             );
             assert_eq!(cascade.handoff_llr(handoff), handoff, "idempotent");
+        }
+    }
+
+    #[test]
+    fn stage2_message_is_fixed_bp_ingest_of_the_dequantized_code() {
+        let cascade = CascadeDecoder::default();
+        let (ms, bp) = (cascade.stage1().arithmetic(), cascade.stage2().arithmetic());
+        assert_eq!(ms.format(), bp.format(), "the handoff needs one format");
+        let fmt = ms.format();
+        for code in fmt.min_code()..=fmt.max_code() {
+            assert_eq!(
+                stage2_message(code),
+                bp.from_channel(ms.to_llr(code)),
+                "code {code}"
+            );
         }
     }
 

@@ -220,44 +220,6 @@ fn lane_layer_update<A: LaneKernel>(
     }
 }
 
-/// The early-termination check of one packed frame of a group (paper's rule,
-/// §IV): exactly [`crate::engine::early_termination_reached`] applied to the
-/// strided column `slot` of the frame-major APP buffer, with the decision
-/// history kept per original frame index so it follows the frame through
-/// compaction.
-fn group_early_termination<A: DecoderArithmetic>(
-    arith: &A,
-    threshold: f64,
-    ws: &mut DecodeWorkspace<A::Msg>,
-    info_len: usize,
-    width: usize,
-    slot: usize,
-    frame: usize,
-) -> bool {
-    let DecodeWorkspace {
-        app,
-        info_hard,
-        group_histories,
-        ..
-    } = ws;
-    let info = &app[..info_len * width];
-    info_hard.clear();
-    info_hard.extend(
-        info.iter()
-            .skip(slot)
-            .step_by(width)
-            .map(|&m| arith.hard_bit(m)),
-    );
-    let min_abs = info
-        .iter()
-        .skip(slot)
-        .step_by(width)
-        .map(|&m| arith.magnitude(m))
-        .fold(f64::INFINITY, f64::min);
-    let stable = group_histories[frame].stable_update(info_hard);
-    stable && min_abs > threshold
-}
-
 /// The operation counts of one frame after `iterations` full group
 /// iterations — identical to what the single-frame lane path accumulates
 /// (one sub-iteration, `z` check-node updates and `degree · z` messages per
@@ -359,31 +321,35 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         out: &mut DecodeOutput,
     ) -> Result<(), DecodeError> {
-        self.decode_layered_with(compiled, llrs, ws, out, row_layer_update)
+        check_llr_len(compiled, llrs)?;
+        let arith = &self.arith;
+        self.decode_layered_with(
+            compiled,
+            |col| arith.from_channel(llrs[col]),
+            ws,
+            out,
+            row_layer_update,
+        );
+        Ok(())
     }
 
     /// The shared layered-schedule driver: Algorithm 1's initialisation,
     /// iteration control (layer visit order, early termination, zero-syndrome
     /// stop) and output finishing, parameterized over the per-layer update so
     /// the lane-major hot path and the row-serial reference run the exact
-    /// same control flow around their different kernels.
-    fn decode_layered_with<F>(
+    /// same control flow around their different kernels. `channel(col)` is
+    /// the initial message of variable node `col`.
+    fn decode_layered_with<C, F>(
         &self,
         compiled: &CompiledCode,
-        llrs: &[f64],
+        channel: C,
         ws: &mut DecodeWorkspace<A::Msg>,
         out: &mut DecodeOutput,
         mut layer_update: F,
-    ) -> Result<(), DecodeError>
-    where
+    ) where
+        C: Fn(usize) -> A::Msg,
         F: FnMut(&A, &CompiledCode, usize, &mut DecodeWorkspace<A::Msg>, &mut DecodeStats),
     {
-        if llrs.len() != compiled.n() {
-            return Err(DecodeError::LlrLengthMismatch {
-                expected: compiled.n(),
-                actual: llrs.len(),
-            });
-        }
         #[cfg(debug_assertions)]
         let steady_fingerprint = ws
             .is_ready_for(compiled, false)
@@ -396,7 +362,7 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
 
         // L_n ← channel, Λ ← 0 (Algorithm 1 initialisation).
         ws.prepare(compiled, arith.zero(), false);
-        ws.app.extend(llrs.iter().map(|&l| arith.from_channel(l)));
+        ws.app.extend((0..compiled.n()).map(channel));
 
         let mut stats = DecodeStats::default();
         let mut iterations = 0;
@@ -412,7 +378,7 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
             // decisions stable across two iterations and min |L| above the
             // threshold.
             if let Some(rule) = &self.config.early_termination {
-                if crate::engine::early_termination_reached(arith, rule.threshold, ws, info_len)
+                if rule.reached(arith, &mut ws.history, ws.app[..info_len].iter().copied())
                     && iterations < self.config.max_iterations
                 {
                     early_terminated = true;
@@ -446,8 +412,37 @@ impl<A: DecoderArithmetic> LayeredDecoder<A> {
                 "steady-state decode_into must not reallocate workspace buffers"
             );
         }
-        Ok(())
     }
+}
+
+/// Rejects a single-frame input whose length is not the code length.
+fn check_llr_len(compiled: &CompiledCode, llrs: &[f64]) -> Result<(), DecodeError> {
+    if llrs.len() == compiled.n() {
+        Ok(())
+    } else {
+        Err(DecodeError::LlrLengthMismatch {
+            expected: compiled.n(),
+            actual: llrs.len(),
+        })
+    }
+}
+
+/// The lane-major layer update of the single-frame hot path, with its
+/// operation counts.
+fn lane_frame_update<A: LaneKernel>(
+    arith: &A,
+    compiled: &CompiledCode,
+    layer: usize,
+    ws: &mut DecodeWorkspace<A::Msg>,
+    stats: &mut DecodeStats,
+) {
+    // All z rows (lanes) of each layer at once — the software analogue of
+    // the paper's z parallel SISO units.
+    lane_layer_update(arith, compiled, layer, 1, ws);
+    let z = compiled.z();
+    stats.sub_iterations += 1;
+    stats.check_node_updates += z;
+    stats.messages_processed += compiled.layer_degree(layer) * z;
 }
 
 impl<A: LaneKernel> LayeredDecoder<A> {
@@ -471,31 +466,36 @@ impl<A: LaneKernel> LayeredDecoder<A> {
     /// panels, applies the termination rules *per frame* in the same order as
     /// the single-frame engine, and compacts converged frames out of the
     /// group so they skip all remaining-iteration work. Frame `f` of the
-    /// result is bit-identical to `decode_into` on that frame alone.
-    fn decode_group_layered(
+    /// result is bit-identical to the single-frame path on that frame alone.
+    ///
+    /// `channel(f, col)` is the initial message of variable node `col` of
+    /// frame `f` (`f < outs.len()`): the quantized channel LLR for
+    /// [`Decoder::decode_group_into`], or messages another stage already
+    /// quantized (the [`crate::cascade`] handoff).
+    pub(crate) fn decode_group_from<C>(
         &self,
         compiled: &CompiledCode,
-        llrs: &[f64],
         ws: &mut DecodeWorkspace<A::Msg>,
         outs: &mut [DecodeOutput],
-    ) -> Result<(), DecodeError> {
+        channel: C,
+    ) where
+        C: Fn(usize, usize) -> A::Msg,
+    {
         let n = compiled.n();
         let frames = outs.len();
-        if llrs.len() != frames * n {
-            return Err(DecodeError::BatchShape {
-                reason: format!(
-                    "group of {frames} outputs needs {} LLRs, got {}",
-                    frames * n,
-                    llrs.len()
-                ),
-            });
-        }
         if frames == 0 {
-            return Ok(());
+            return;
         }
         if frames == 1 {
             // A group of one is exactly the single-frame hot path.
-            return Decoder::decode_into(self, compiled, llrs, ws, &mut outs[0]);
+            self.decode_layered_with(
+                compiled,
+                |col| channel(0, col),
+                ws,
+                &mut outs[0],
+                lane_frame_update,
+            );
+            return;
         }
 
         #[cfg(debug_assertions)]
@@ -512,9 +512,9 @@ impl<A: LaneKernel> LayeredDecoder<A> {
         // interleaved: app[col · width + f]).
         ws.prepare_group(compiled, arith.zero(), frames);
         ws.app.resize(n * frames, arith.zero());
-        for (f, frame) in llrs.chunks_exact(n).enumerate() {
-            for (col, &l) in frame.iter().enumerate() {
-                ws.app[col * frames + f] = arith.from_channel(l);
+        for f in 0..frames {
+            for (col, m) in ws.app[f..].iter_mut().step_by(frames).enumerate() {
+                *m = channel(f, col);
             }
         }
 
@@ -538,16 +538,16 @@ impl<A: LaneKernel> LayeredDecoder<A> {
                 let mut early = false;
                 if let Some(rule) = &self.config.early_termination {
                     // The history update runs every iteration for every live
-                    // frame, exactly like the single-frame engine.
-                    let reached = group_early_termination(
-                        arith,
-                        rule.threshold,
-                        ws,
-                        info_len,
-                        width,
-                        slot,
-                        frame,
-                    );
+                    // frame, exactly like the single-frame engine; the
+                    // frame's info bits are the strided column `slot`, its
+                    // history follows the original frame index through
+                    // compaction.
+                    let info = ws.app[..info_len * width]
+                        .iter()
+                        .skip(slot)
+                        .step_by(width)
+                        .copied();
+                    let reached = rule.reached(arith, &mut ws.group_histories[frame], info);
                     if reached && !last {
                         done = true;
                         early = true;
@@ -609,7 +609,6 @@ impl<A: LaneKernel> LayeredDecoder<A> {
                 "steady-state group decode must not reallocate workspace buffers"
             );
         }
-        Ok(())
     }
 }
 
@@ -639,15 +638,16 @@ impl<A: LaneKernel> Decoder for LayeredDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         out: &mut DecodeOutput,
     ) -> Result<(), DecodeError> {
-        // All z rows (lanes) of each layer at once — the software analogue of
-        // the paper's z parallel SISO units.
-        self.decode_layered_with(compiled, llrs, ws, out, |arith, compiled, l, ws, stats| {
-            lane_layer_update(arith, compiled, l, 1, ws);
-            let z = compiled.z();
-            stats.sub_iterations += 1;
-            stats.check_node_updates += z;
-            stats.messages_processed += compiled.layer_degree(l) * z;
-        })
+        check_llr_len(compiled, llrs)?;
+        let arith = &self.arith;
+        self.decode_layered_with(
+            compiled,
+            |col| arith.from_channel(llrs[col]),
+            ws,
+            out,
+            lane_frame_update,
+        );
+        Ok(())
     }
 
     fn preferred_group_width(&self, compiled: &CompiledCode) -> usize {
@@ -665,7 +665,22 @@ impl<A: LaneKernel> Decoder for LayeredDecoder<A> {
         ws: &mut DecodeWorkspace<A::Msg>,
         outs: &mut [DecodeOutput],
     ) -> Result<(), DecodeError> {
-        self.decode_group_layered(compiled, llrs, ws, outs)
+        let n = compiled.n();
+        if llrs.len() != outs.len() * n {
+            return Err(DecodeError::BatchShape {
+                reason: format!(
+                    "group of {} outputs needs {} LLRs, got {}",
+                    outs.len(),
+                    outs.len() * n,
+                    llrs.len()
+                ),
+            });
+        }
+        let arith = &self.arith;
+        self.decode_group_from(compiled, ws, outs, |f, col| {
+            arith.from_channel(llrs[f * n + col])
+        });
+        Ok(())
     }
 }
 

@@ -56,10 +56,17 @@ impl FixedFormat {
         self.frac_bits
     }
 
-    /// The value of one least-significant bit, `2^-F`.
+    /// The value of one least-significant bit, `2^-F`, built exactly from
+    /// its IEEE-754 exponent (no `powi`, no division).
     #[must_use]
     pub fn step(&self) -> f64 {
-        (0.5f64).powi(self.frac_bits as i32)
+        f64::from_bits(u64::from(1023 - self.frac_bits) << 52)
+    }
+
+    /// Codes per LLR unit, `2^F` — the exact reciprocal of [`step`](Self::step).
+    #[must_use]
+    pub fn scale(&self) -> f64 {
+        f64::from(1u32 << self.frac_bits)
     }
 
     /// Largest representable code, `2^{W-1} − 1`.
@@ -104,20 +111,39 @@ impl FixedFormat {
         self.saturate(-(a as i64))
     }
 
-    /// Converts a real LLR to the nearest representable code (saturating).
+    /// Converts a real LLR to the nearest representable code (saturating,
+    /// ties rounded away from zero, NaN to 0).
+    ///
+    /// Branch-free, with no libm call and no float-to-int conversion, so
+    /// ingest loops vectorise: scaling by the power of two `2^F` is exact;
+    /// saturating the magnitude before rounding equals saturating after it
+    /// (the bound is an integer); and adding `2^52` to a magnitude below
+    /// `2^23` rounds it to an integer (ties to even) held in the low bits of
+    /// the sum. A tie rounded down to even is the one case half-away
+    /// rounding takes up, and the subtraction that detects it is exact.
     #[must_use]
     pub fn quantize(&self, value: f64) -> i32 {
-        if value.is_nan() {
-            return 0;
+        const ROUND: f64 = 4_503_599_627_370_496.0; // 2^52
+        let max = f64::from(self.max_code());
+        let scaled = value * self.scale();
+        let magnitude = scaled.abs();
+        let magnitude = if magnitude > max { max } else { magnitude };
+        let magnitude = if magnitude.is_nan() { 0.0 } else { magnitude };
+        let biased = magnitude + ROUND;
+        let tie_rounded_down = magnitude - (biased - ROUND) == 0.5;
+        // The low 32 bits of `biased` are the rounded magnitude.
+        let rounded = biased.to_bits() as i32 + i32::from(tie_rounded_down);
+        if scaled < 0.0 {
+            -rounded
+        } else {
+            rounded
         }
-        let scaled = (value / self.step()).round();
-        self.saturate(scaled as i64)
     }
 
-    /// Converts a code back to its real value.
+    /// Converts a code back to its real value (exact).
     #[must_use]
     pub fn dequantize(&self, code: i32) -> f64 {
-        code as f64 * self.step()
+        f64::from(code) * self.step()
     }
 
     /// Whether `code` is inside the representable range.
@@ -173,6 +199,63 @@ mod tests {
         assert_eq!(f.quantize(f64::NAN), 0);
         for code in [-127, -3, 0, 5, 127] {
             assert_eq!(f.quantize(f.dequantize(code)), code);
+        }
+    }
+
+    /// Every format [`FixedFormat::new`] accepts.
+    fn all_formats() -> impl Iterator<Item = FixedFormat> {
+        (2..=24u32).flat_map(|w| (0..w).map(move |f| FixedFormat::new(w, f)))
+    }
+
+    #[test]
+    fn step_is_the_exact_power_of_two() {
+        for fmt in all_formats() {
+            let f = fmt.frac_bits();
+            assert_eq!(fmt.step(), 0.5f64.powi(f as i32), "{fmt}");
+            assert_eq!(fmt.step() * fmt.scale(), 1.0, "{fmt}");
+        }
+    }
+
+    #[test]
+    fn quantize_matches_round_then_saturate() {
+        // The definition the branch-free quantizer replaces.
+        let reference = |fmt: &FixedFormat, v: f64| -> i32 {
+            if v.is_nan() {
+                return 0;
+            }
+            fmt.saturate((v / 0.5f64.powi(fmt.frac_bits() as i32)).round() as i64)
+        };
+        for fmt in all_formats() {
+            let max = i64::from(fmt.max_code());
+            // Every tie k + ½ near zero and around the saturation edge.
+            let ks = (-40i64..=40)
+                .chain(max - 3..=max + 3)
+                .chain(-max - 3..=-max + 3);
+            let mut values = vec![
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                -1e300,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+            ];
+            for k in ks {
+                for frac in [0.0, 0.25, 0.5, 0.75] {
+                    let v = (k as f64 + frac) * fmt.step();
+                    values.extend([v, v.next_down(), v.next_up()]);
+                }
+            }
+            for v in values {
+                assert_eq!(
+                    fmt.quantize(v),
+                    reference(&fmt, v),
+                    "{fmt}: quantize({v:e}) [bits {:#x}]",
+                    v.to_bits()
+                );
+            }
         }
     }
 

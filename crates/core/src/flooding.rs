@@ -172,7 +172,7 @@ impl<A: DecoderArithmetic> Decoder for FloodingDecoder<A> {
             iterations += 1;
 
             if let Some(rule) = &self.config.early_termination {
-                if crate::engine::early_termination_reached(arith, rule.threshold, ws, info_len)
+                if rule.reached(arith, &mut ws.history, ws.app[..info_len].iter().copied())
                     && iterations < self.config.max_iterations
                 {
                     early_terminated = true;

@@ -135,6 +135,9 @@ struct PoolShared {
     live: AtomicUsize,
     /// Workers that died and were replaced over the process lifetime.
     restarts: AtomicU64,
+    /// Set when the pool handle drops: idle workers exit instead of
+    /// parking again. Never set for the process-wide pool.
+    shutdown: AtomicBool,
 }
 
 /// The process-wide persistent decode worker pool; see the module docs.
@@ -325,6 +328,9 @@ fn worker_main(shared: Arc<PoolShared>, index: usize, pin: bool, cores: usize) {
                 if let Some(task) = queue.pop_front() {
                     break task;
                 }
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
                 queue = shared
                     .work_ready
                     .wait(queue)
@@ -378,34 +384,41 @@ impl DecodePool {
     pub fn global() -> &'static DecodePool {
         static POOL: OnceLock<DecodePool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let cores = detected_cores();
             // At least one worker even on a single core: the pool machinery
             // (queueing, stealing, cancellation) then gets exercised — and
             // regression-tested — everywhere, at the cost of one parked
             // thread.
-            let workers = cores.saturating_sub(1).max(1);
-            let pin = pin_threads_requested();
-            let shared = Arc::new(PoolShared {
-                queue: Mutex::new(VecDeque::new()),
-                work_ready: Condvar::new(),
-                executed: AtomicU64::new(0),
-                cancelled: AtomicU64::new(0),
-                pinned: AtomicUsize::new(0),
-                live: AtomicUsize::new(0),
-                restarts: AtomicU64::new(0),
-            });
-            for index in 0..workers {
-                assert!(
-                    spawn_worker(Arc::clone(&shared), index, pin, cores),
-                    "cannot spawn decode pool worker"
-                );
-            }
-            DecodePool {
-                shared,
-                workers,
-                pin_requested: pin,
-            }
+            let workers = detected_cores().saturating_sub(1).max(1);
+            DecodePool::spawn(workers, pin_threads_requested())
         })
+    }
+
+    /// A pool of `workers` threads, pinned per `pin`. Only
+    /// [`DecodePool::global`] builds one outside tests; a dropped pool's
+    /// workers exit once they are idle.
+    fn spawn(workers: usize, pin: bool) -> Self {
+        let cores = detected_cores();
+        let shared = Arc::new(PoolShared {
+            queue: Mutex::new(VecDeque::new()),
+            work_ready: Condvar::new(),
+            executed: AtomicU64::new(0),
+            cancelled: AtomicU64::new(0),
+            pinned: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
+            restarts: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        });
+        for index in 0..workers {
+            assert!(
+                spawn_worker(Arc::clone(&shared), index, pin, cores),
+                "cannot spawn decode pool worker"
+            );
+        }
+        DecodePool {
+            shared,
+            workers,
+            pin_requested: pin,
+        }
     }
 
     /// Number of worker threads the pool spawned.
@@ -530,6 +543,20 @@ impl DecodePool {
     }
 }
 
+impl Drop for DecodePool {
+    fn drop(&mut self) {
+        // Raised under the queue lock, so no worker can check the flag and
+        // then park after the wake-up below.
+        let _queue = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.work_ready.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,18 +606,27 @@ mod tests {
     fn queued_tasks_are_cancelled_once_the_caller_finishes() {
         // With a trivial job and a large fanout, most queued invocations are
         // cancelled by the scope guard rather than executed — and the call
-        // still returns promptly with the latch fully resolved.
-        let pool = DecodePool::global();
-        let before = pool.tasks_cancelled() + pool.tasks_executed();
+        // still returns promptly with the latch fully resolved. The pool is
+        // owned by this test, so no other test's batches move its counters.
+        let pool = DecodePool::spawn(2, false);
         for _ in 0..50 {
             pool.run_scoped(4, &|| {});
         }
-        let after = pool.tasks_cancelled() + pool.tasks_executed();
         assert_eq!(
-            after - before,
+            pool.tasks_cancelled() + pool.tasks_executed(),
             200,
             "every queued invocation is accounted for, run or cancelled"
         );
+    }
+
+    #[test]
+    fn a_dropped_pool_retires_its_workers() {
+        let pool = DecodePool::spawn(2, false);
+        wait_for("workers to register", || pool.live_workers() == 2);
+        let shared = Arc::clone(&pool.shared);
+        drop(pool);
+        // Each exiting worker drops its clone of the shared state.
+        wait_for("workers to exit", || Arc::strong_count(&shared) == 1);
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub struct DecodeWorkspace<M> {
     pub(crate) lane_scratch: LaneScratch<M>,
     /// Hard-decision scratch, length `n`.
     pub(crate) hard: Vec<u8>,
-    /// Information-bit hard decisions of the current iteration.
-    pub(crate) info_hard: Vec<u8>,
     /// Early-termination decision history (previous iteration's hard
     /// decisions), the same mechanism [`crate::early_term::TerminationTracker`]
     /// uses.
@@ -63,8 +61,10 @@ pub struct DecodeWorkspace<M> {
     /// Original frame indices of the stage-1 failures a cascade escalates
     /// (see [`crate::cascade`]).
     pub(crate) cascade_pending: Vec<u32>,
-    /// Frame-contiguous handoff LLRs of the escalated frames.
-    pub(crate) cascade_llrs: Vec<f64>,
+    /// Frame-contiguous stage-1 messages of every frame of a cascade
+    /// group: quantized once, decoded by stage 1, re-ingested by the later
+    /// stages.
+    pub(crate) cascade_codes: Vec<M>,
     /// Stage ≥ 2 output slots, swapped against the caller's outputs.
     pub(crate) cascade_outs: Vec<crate::result::DecodeOutput>,
 }
@@ -84,14 +84,13 @@ impl<M: Copy> DecodeWorkspace<M> {
             lane_out: Vec::new(),
             lane_scratch: LaneScratch::new(),
             hard: Vec::new(),
-            info_hard: Vec::new(),
             history: DecisionHistory::new(),
             group_histories: Vec::new(),
             group_active: Vec::new(),
             group_keep: Vec::new(),
             group_frame: Vec::new(),
             cascade_pending: Vec::new(),
-            cascade_llrs: Vec::new(),
+            cascade_codes: Vec::new(),
             cascade_outs: Vec::new(),
         }
     }
@@ -119,7 +118,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lane_out, degree * compiled.z());
         self.lane_scratch.reserve(degree, compiled.z());
         reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.info_hard, info);
         self.history.reserve(info);
         if flooding {
             reserve_to(&mut self.chan, n);
@@ -143,7 +141,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lane_out.capacity() >= degree * compiled.z()
             && self.lane_scratch.is_ready(degree, compiled.z())
             && self.hard.capacity() >= n
-            && self.info_hard.capacity() >= info
             && self.history.is_ready(info)
             && (!flooding || (self.chan.capacity() >= n && self.lambda_alt.capacity() >= edges))
     }
@@ -191,7 +188,6 @@ impl<M: Copy> DecodeWorkspace<M> {
         reserve_to(&mut self.lane_out, degree * zw);
         self.lane_scratch.reserve(degree, zw);
         reserve_to(&mut self.hard, n);
-        reserve_to(&mut self.info_hard, info);
         reserve_to(&mut self.group_active, width);
         reserve_to(&mut self.group_keep, width);
         reserve_to(&mut self.group_frame, n);
@@ -218,7 +214,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             && self.lane_out.capacity() >= degree * zw
             && self.lane_scratch.is_ready(degree, zw)
             && self.hard.capacity() >= n
-            && self.info_hard.capacity() >= info
             && self.group_active.capacity() >= width
             && self.group_keep.capacity() >= width
             && self.group_frame.capacity() >= n
@@ -251,12 +246,13 @@ impl<M: Copy> DecodeWorkspace<M> {
 
     /// Grows every buffer a [`crate::cascade::CascadeDecoder`] needs for a
     /// `width`-frame group of `compiled`: the group-path buffers plus the
-    /// escalation scratch (pending list, handoff LLRs and stage output
-    /// slots, all sized for the worst case of every frame escalating).
+    /// cascade scratch (the group's stage-1 codes, the pending list and the
+    /// stage output slots, sized for the worst case of every frame
+    /// escalating).
     pub fn reserve_for_cascade(&mut self, compiled: &CompiledCode, width: usize) {
         self.reserve_for_group(compiled, width);
         reserve_to(&mut self.cascade_pending, width);
-        reserve_to(&mut self.cascade_llrs, compiled.n() * width);
+        reserve_to(&mut self.cascade_codes, compiled.n() * width);
         if self.cascade_outs.len() < width {
             self.cascade_outs
                 .resize_with(width, crate::result::DecodeOutput::empty);
@@ -272,7 +268,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     pub fn is_ready_for_cascade(&self, compiled: &CompiledCode, width: usize) -> bool {
         self.is_ready_for_group(compiled, width)
             && self.cascade_pending.capacity() >= width
-            && self.cascade_llrs.capacity() >= compiled.n() * width
+            && self.cascade_codes.capacity() >= compiled.n() * width
             && self.cascade_outs.len() >= width
     }
 
@@ -288,8 +284,8 @@ impl<M: Copy> DecodeWorkspace<M> {
             self.cascade_pending.capacity(),
         ));
         fp.push((
-            self.cascade_llrs.as_ptr() as usize,
-            self.cascade_llrs.capacity(),
+            self.cascade_codes.as_ptr() as usize,
+            self.cascade_codes.capacity(),
         ));
         fp.push((
             self.cascade_outs.as_ptr() as usize,
@@ -333,7 +329,7 @@ impl<M: Copy> DecodeWorkspace<M> {
     /// around a `decode_into` call prove the call performed no reallocation
     /// (and therefore no heap allocation, as the engine owns no other state).
     #[must_use]
-    pub fn allocation_fingerprint(&self) -> [(usize, usize); 14] {
+    pub fn allocation_fingerprint(&self) -> [(usize, usize); 13] {
         // The flooding schedule swaps `lambda` and `lambda_alt` every
         // iteration; order the pair by address so the swap (which moves no
         // memory) does not change the fingerprint.
@@ -361,7 +357,6 @@ impl<M: Copy> DecodeWorkspace<M> {
             scratch[1],
             scratch[2],
             (self.hard.as_ptr() as usize, self.hard.capacity()),
-            (self.info_hard.as_ptr() as usize, self.info_hard.capacity()),
             self.history.fingerprint(),
         ]
     }

@@ -78,6 +78,16 @@ pub enum SubmitError {
         /// LLRs supplied.
         actual: usize,
     },
+    /// The frame holds a NaN or infinite LLR. Such a value carries no
+    /// usable evidence (NaN quantizes to an erasure, so an all-NaN frame
+    /// would "decode" to the all-zero codeword), so it is refused before
+    /// any queueing or HARQ combining.
+    NonFiniteLlr {
+        /// The mode submitted under.
+        code: CodeId,
+        /// Index of the first non-finite LLR in the submitted buffer.
+        index: usize,
+    },
     /// The shard's ingest queue is at capacity (backpressure; only from
     /// `try_submit` — blocking submission parks instead).
     QueueFull {
@@ -121,6 +131,11 @@ impl fmt::Debug for SubmitError {
                 .field("expected", expected)
                 .field("actual", actual)
                 .finish(),
+            SubmitError::NonFiniteLlr { code, index } => f
+                .debug_struct("NonFiniteLlr")
+                .field("code", code)
+                .field("index", index)
+                .finish(),
             SubmitError::QueueFull { llrs } => f
                 .debug_struct("QueueFull")
                 .field("llrs_len", &llrs.len())
@@ -147,6 +162,9 @@ impl fmt::Display for SubmitError {
                 f,
                 "frame for {code} has {actual} LLRs but the code length is {expected}"
             ),
+            SubmitError::NonFiniteLlr { code, index } => {
+                write!(f, "frame for {code} has a non-finite LLR at index {index}")
+            }
             SubmitError::QueueFull { llrs } => {
                 write!(f, "shard queue full ({}-LLR frame refused)", llrs.len())
             }
@@ -175,6 +193,15 @@ mod tests {
         assert!(dbg.contains("llrs_len: 2304"), "{dbg}");
         assert!(!dbg.contains("0.0"), "LLR values must not be dumped");
         assert!(e.to_string().contains("2304-LLR"));
+    }
+
+    #[test]
+    fn non_finite_llr_names_the_code_and_index() {
+        let code = CodeId::new(Standard::Wimax80216e, CodeRate::R1_2, 576);
+        let e = SubmitError::NonFiniteLlr { code, index: 17 };
+        assert!(e.to_string().contains("index 17"), "{e}");
+        assert!(format!("{e:?}").contains("index: 17"));
+        assert_eq!(e.into_llrs(), None);
     }
 
     #[test]

@@ -776,9 +776,10 @@ where
     ///
     /// # Errors
     ///
-    /// [`SubmitError::UnknownCode`] / [`SubmitError::FrameLength`] on
-    /// validation failure, [`SubmitError::QueueFull`] on non-blocking
-    /// backpressure, [`SubmitError::ShutDown`] once shutdown started.
+    /// [`SubmitError::UnknownCode`] / [`SubmitError::FrameLength`] /
+    /// [`SubmitError::NonFiniteLlr`] on validation failure,
+    /// [`SubmitError::QueueFull`] on non-blocking backpressure,
+    /// [`SubmitError::ShutDown`] once shutdown started.
     pub fn submit(
         &self,
         code: CodeId,
@@ -856,6 +857,9 @@ where
                 },
                 harq,
             ));
+        }
+        if let Err(e) = check_finite(code, &llrs) {
+            return Err((e, harq));
         }
         // Quantized ingest (when configured): gain-normalise the frame into
         // the fixed-point range at submission, so the dispatch workers — and
@@ -1034,8 +1038,9 @@ where
     ///
     /// # Errors
     ///
-    /// As [`submit`](DecodeService::submit); [`SubmitError::FrameLength`]
-    /// reports the nearest expected length (codeword, or `tx_bits` when a
+    /// As [`submit`](DecodeService::submit); a
+    /// [`SubmitError::NonFiniteLlr`] transmission touches no soft buffer.
+    /// [`SubmitError::FrameLength`] reports the nearest expected length (codeword, or `tx_bits` when a
     /// puncture pattern is registered and `llrs` is not a full codeword).
     /// On refusal the transmission's energy is already banked in the parked
     /// soft buffer — resubmitting the same LLRs would double-count them, so
@@ -1127,6 +1132,8 @@ where
         };
         let shard = &self.core.shards[idx];
         let n = shard.compiled.n();
+        // Validated before any soft buffer is created or combined into.
+        check_finite(code, &llrs)?;
         let mut full = if llrs.len() == n {
             llrs
         } else if let Some(pattern) = shard
@@ -1341,6 +1348,14 @@ impl<D> Drop for DecodeService<D> {
         // After `shutdown` this is a no-op (workers already joined); a plain
         // drop performs the same drain so accepted frames never dangle.
         self.finish();
+    }
+}
+
+/// Refuses a frame holding a NaN or infinite LLR, naming the first one.
+fn check_finite(code: CodeId, llrs: &[f64]) -> Result<(), SubmitError> {
+    match llrs.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(SubmitError::NonFiniteLlr { code, index }),
+        None => Ok(()),
     }
 }
 

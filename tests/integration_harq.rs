@@ -351,3 +351,66 @@ fn refused_retransmissions_retry_through_the_prelude_policy() {
     );
     service.shutdown();
 }
+
+#[test]
+fn non_finite_transmissions_create_and_release_no_soft_buffer() {
+    let tx_bits = 288;
+    let service = DecodeService::builder(decoder())
+        .start_paused()
+        .harq_puncture(code(), tx_bits)
+        .register(code())
+        .unwrap()
+        .build()
+        .unwrap();
+    let untouched = service.harq_stats();
+
+    // All-NaN full codeword and a single +inf in a punctured transmission:
+    // both refused before any combining, naming the first bad index.
+    let err = service
+        .submit_harq(code(), HarqKey::new(1, 0), 0, vec![f64::NAN; CODE_N], ())
+        .unwrap_err();
+    assert!(
+        matches!(err, SubmitError::NonFiniteLlr { index: 0, .. }),
+        "{err:?}"
+    );
+    let mut punctured = vec![3.0; tx_bits];
+    punctured[77] = f64::INFINITY;
+    let err = service
+        .submit_harq(code(), HarqKey::new(2, 0), 1, punctured.clone(), ())
+        .unwrap_err();
+    assert!(
+        matches!(err, SubmitError::NonFiniteLlr { index: 77, .. }),
+        "{err:?}"
+    );
+    assert_eq!(service.harq_stats(), untouched, "no buffer created");
+
+    // A parked buffer survives a non-finite retransmission untouched: it is
+    // neither combined into nor released.
+    let txs = transmissions(71, 1.0, 1);
+    let parked = service
+        .submit_harq(
+            code(),
+            HarqKey::new(3, 0),
+            0,
+            txs[0].clone(),
+            SubmitOptions::new().deadline(Instant::now()),
+        )
+        .unwrap();
+    service.resume();
+    assert!(matches!(parked.wait(), DecodeOutcome::Expired));
+    let before = service.harq_stats();
+    assert_eq!(before.entries, 1, "expired frame parked");
+    let err = service
+        .submit_harq_with_retry(
+            code(),
+            HarqKey::new(3, 0),
+            1,
+            punctured,
+            (),
+            RetryPolicy::default(),
+        )
+        .unwrap_err();
+    assert!(matches!(err, SubmitError::NonFiniteLlr { .. }), "{err:?}");
+    assert_eq!(service.harq_stats(), before, "parked buffer untouched");
+    service.shutdown();
+}

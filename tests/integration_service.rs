@@ -352,3 +352,47 @@ fn quantized_ingest_recovers_high_snr_fixed_point_traffic() {
         assert_eq!(out, direct, "service output == direct decode of AGC'd LLRs");
     }
 }
+
+#[test]
+fn non_finite_frames_are_refused_at_submission() {
+    let code = modes()[0];
+    let service = DecodeService::builder(decoder())
+        .register(code)
+        .unwrap()
+        .build()
+        .unwrap();
+
+    // An all-NaN frame would quantize to all erasures and "decode" to the
+    // all-zero codeword; it must be refused instead.
+    let err = service
+        .submit(code, vec![f64::NAN; code.n], ())
+        .unwrap_err();
+    assert!(
+        matches!(err, SubmitError::NonFiniteLlr { code: c, index: 0 } if c == code),
+        "{err:?}"
+    );
+    // One +inf among finite LLRs is named by its index.
+    let mut llrs = vec![6.0; code.n];
+    llrs[123] = f64::INFINITY;
+    let err = service
+        .submit(code, llrs, SubmitOptions::new().non_blocking())
+        .unwrap_err();
+    assert!(
+        matches!(err, SubmitError::NonFiniteLlr { index: 123, .. }),
+        "{err:?}"
+    );
+    assert_eq!(
+        service.shard_stats(code).unwrap().accepted,
+        0,
+        "refused frames are never accepted"
+    );
+
+    // The shard still serves valid traffic.
+    assert!(service
+        .submit(code, vec![6.0; code.n], ())
+        .unwrap()
+        .wait()
+        .is_decoded());
+    let stats = service.shutdown();
+    assert_eq!(stats[0].accepted, 1);
+}
